@@ -16,6 +16,12 @@ import (
 	"fastt/internal/serve"
 )
 
+// readHeaderTimeout caps how long a client may take to send its request
+// headers, so a slow-header client cannot hold a daemon connection open
+// indefinitely. Request bodies are not covered: a large graph upload on a
+// slow link stays legitimate.
+const readHeaderTimeout = 10 * time.Second
+
 // runServe implements the `fastt serve` subcommand: a long-running
 // strategy-as-a-service daemon. POST /v1/compute answers placement
 // questions from a sharded artifact cache keyed by the provenance triple
@@ -55,7 +61,7 @@ func runServe(argv []string) error {
 	// port; keep the format stable.
 	fmt.Printf("fastt serve: listening on %s\n", ln.Addr())
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

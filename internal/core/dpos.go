@@ -72,30 +72,11 @@ type Options struct {
 	// (ablation): critical-path operations use plain min-EFT like all
 	// others.
 	DisableCPDevice bool
-	// DisableIncremental makes OS-DPOS evaluate split candidates on full
-	// SplitOperation clones instead of copy-on-write overlays with delta
-	// rank updates. Both paths produce byte-identical strategies; the clone
-	// path exists as the reference for equivalence tests and benchmarks.
-	DisableIncremental bool
 	// DisablePruning turns off bound-based candidate pruning in OS-DPOS:
 	// every candidate is scheduled to completion even after a lower bound
 	// proves it cannot beat the incumbent makespan. Pruning never changes
 	// the accepted split list; disabling it only costs time.
 	DisablePruning bool
-	// DisableSpeculation turns off speculative round pipelining in OS-DPOS:
-	// with Workers > 1 the search normally starts evaluating round k+1's
-	// candidates against the predicted round-k winner while round k is
-	// still reducing, discarding and re-evaluating on a mispredict.
-	// Speculation never changes the committed strategy (the deterministic
-	// in-order reduce is the commit point); disabling it only serializes
-	// the rounds again. No effect at Workers <= 1.
-	DisableSpeculation bool
-	// DisableLattice makes every scheduling pass resolve costs through
-	// direct per-entry cost.Estimator calls instead of the cached dense
-	// cost lattice (no comm-class dedup, no cross-call reuse, no O(Δ)
-	// overlay extension). Both paths produce byte-identical strategies;
-	// the direct path exists as the reference for equivalence tests.
-	DisableLattice bool
 	// Seed warm-starts OS-DPOS from a prior strategy artifact for the same
 	// base graph: the seed is re-materialized, evaluated once with DPOS on
 	// the target cluster for an exact feasible makespan, and that value
@@ -122,6 +103,15 @@ type Options struct {
 	// package already computed it, so the seed validation in OSDPOSCtx does
 	// not hash the graph a second time. Empty means "compute on demand".
 	fingerprint string
+	// disableIncremental makes OS-DPOS evaluate split candidates on full
+	// SplitOperation clones instead of copy-on-write overlays with delta
+	// rank updates, and disableLattice makes every scheduling pass resolve
+	// costs through direct per-entry cost.Estimator calls instead of the
+	// cached dense cost lattice. Both are reference paths for the
+	// in-package equivalence tests: each produces byte-identical
+	// strategies, only slower.
+	disableIncremental bool
+	disableLattice     bool
 }
 
 func (o Options) memory() graph.MemoryModel {
@@ -270,7 +260,7 @@ func dposFresh(g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
 	if err != nil {
 		return nil, err
 	}
-	lat := buildLattice(ctx, cluster.Devices(), est, !opts.DisableLattice)
+	lat := buildLattice(ctx, cluster.Devices(), est, !opts.disableLattice)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
 	return dposCtx(ctx, cluster, lat, opts, ranks, bound, live)

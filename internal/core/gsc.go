@@ -124,15 +124,15 @@ func GradientSyncGroups(g *graph.Graph) []SyncGroup {
 // It returns the accepted pins (possibly empty) and the schedule under
 // them.
 //
-// Each group's candidate devices are probed concurrently on the shared
-// work-stealing pool (Workers > 1): every probe pins the whole group at one
-// device and runs a bounded DPOS trial against the incumbent makespan, with
-// the live shared bound letting one improving probe abort its siblings
-// mid-run. The probe order is deterministic — the variable's current device
-// first (the old single-probe heuristic and the preferred tiebreak), then
-// the remaining devices ascending — and a first-minimum reduce over
-// position-indexed results, with the same live-bound tie re-resolution as
-// the OS-DPOS rounds, restores the sequential answer at any worker count.
+// Each group's candidate devices are probed concurrently through fanOut
+// (Workers > 1): every probe pins the whole group at one device and runs a
+// bounded DPOS trial against the incumbent makespan, with the live shared
+// bound letting one improving probe abort its siblings mid-run. The probe
+// order is deterministic — the variable's current device first (the old
+// single-probe heuristic and the preferred tiebreak), then the remaining
+// devices ascending — and a first-minimum reduce over position-indexed
+// results, with the same live-bound tie re-resolution as the OS-DPOS
+// rounds, restores the sequential answer at any worker count.
 // A group is accepted at the best strictly-improving device; the pass ends
 // at the first group no device improves (pruned probes prove
 // non-improvement without finishing), and moves on only past groups whose
@@ -172,8 +172,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 	if len(groups) == 0 || numDev < 2 {
 		return nil, sched, nil
 	}
-	pool := newWorkPool(opts.workers())
-	defer pool.close()
+	workers := opts.workers()
 	best := sched.Makespan
 	pins := make(map[string]int)
 	examined := 0
@@ -210,7 +209,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 		var live *atomic.Int64
 		if opts.DisablePruning {
 			bound = 0
-		} else if pool != nil {
+		} else if workers > 1 {
 			live = new(atomic.Int64)
 			live.Store(int64(best))
 		}
@@ -241,7 +240,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 			return candOutcome{makespan: cand.Makespan, sched: cand, ok: true}
 		}
 		results := make([]candOutcome, len(order))
-		pool.run(len(order), func(i int) { results[i] = probe(i, bound, live) })
+		fanOut(workers, len(order), func(i int) { results[i] = probe(i, bound, live) })
 		if err := ctx.Err(); err != nil {
 			releaseOutcomes(results)
 			releaseSchedule(sched)

@@ -198,7 +198,7 @@ func TestOSDPOSIncrementalEquivalence(t *testing.T) {
 				opts Options
 			}
 			ref := base
-			ref.DisableIncremental = true
+			ref.disableIncremental = true
 			ref.DisablePruning = true
 			ref.Workers = 1
 			variants := []variant{
@@ -275,7 +275,7 @@ func TestOSDPOSIncrementalEquivalence(t *testing.T) {
 }
 
 func with(o Options, clone, noprune bool, workers int) Options {
-	o.DisableIncremental = clone
+	o.disableIncremental = clone
 	o.DisablePruning = noprune
 	o.Workers = workers
 	return o

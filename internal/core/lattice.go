@@ -291,14 +291,14 @@ type latEntry struct {
 }
 
 // latticeFor returns the dense cost lattice for (ctx, cluster, est),
-// honoring opts.DisableLattice (direct reference build, never cached).
+// honoring opts.disableLattice (direct reference build, never cached).
 // Results are cached only for estimators that guarantee immutable
 // predictions (cost.Frozen): snapshots and oracles hit across repeated
 // schedules of one graph; a mutable learned model is resolved fresh every
 // call so later observations are never masked by a stale table.
 func latticeFor(ctx *scheduleContext, cluster *device.Cluster,
 	est cost.Estimator, opts Options) *costLattice {
-	if opts.DisableLattice {
+	if opts.disableLattice {
 		return buildLattice(ctx, cluster.Devices(), est, false)
 	}
 	if !cost.IsFrozen(est) {

@@ -156,7 +156,7 @@ func TestExtendLatticeMatchesRebuild(t *testing.T) {
 // TestOSDPOSLatticeEquivalence is the catalog-wide flattening property: the
 // dense-lattice fast path must return a strategy byte-identical — split
 // list, makespan, placement, order, priorities — to the direct-estimator
-// reference (DisableLattice, no pruning, sequential), crossed over
+// reference (disableLattice, no pruning, sequential), crossed over
 // workers in {1, 4, 8} and pruning on/off.
 func TestOSDPOSLatticeEquivalence(t *testing.T) {
 	const gpus = 4
@@ -182,8 +182,8 @@ func TestOSDPOSLatticeEquivalence(t *testing.T) {
 			}
 			base := Options{MaxSplitOps: 2, MaxSyncGroups: 2}
 			ref := base
-			ref.DisableLattice = true
-			ref.DisableIncremental = true
+			ref.disableLattice = true
+			ref.disableIncremental = true
 			ref.DisablePruning = true
 			ref.Workers = 1
 			want, err := OSDPOS(g, cluster, oracle, ref)

@@ -34,16 +34,6 @@ type SplitResult struct {
 	// bound on their makespan proved they could not beat the incumbent
 	// (Table 4). Always 0 with Options.DisablePruning.
 	Pruned int
-	// Speculated counts candidate evaluations enqueued ahead of their
-	// round's commit point — work started against a predicted (not yet
-	// committed) winner of the previous round. Like Evaluated/Pruned at
-	// Workers > 1, the count is timing-dependent (the committed strategy
-	// never is). Always 0 at Workers <= 1 or with DisableSpeculation.
-	Speculated int
-	// Mispredicted counts speculative evaluations discarded because the
-	// predicted winner they were evaluated against lost the deterministic
-	// reduce; the affected round re-runs against the actual winner.
-	Mispredicted int
 	// Seeded reports that Options.Seed was evaluated on the target cluster
 	// and its exact makespan (SeedBound) tightened the initial incumbent
 	// bound of every round. False when no seed was given or when the seed
@@ -167,8 +157,7 @@ type roundPlan struct {
 // sub-ops a split introduces take "/partN_of_M"-style suffixed names, so a
 // planned target can never collide with or be removed by an earlier
 // round's rewrite, and SplittableDims depends only on the op's own fields,
-// which rewrites copy verbatim. This is what lets the concurrent search
-// queue later rounds' candidates before earlier rounds commit.
+// which rewrites copy verbatim.
 //
 // Eligibility and the MaxSplitOps cap mirror the sequential walk exactly:
 // ops with no splittable dimension are skipped without consuming budget.
@@ -218,9 +207,8 @@ type osdposRun struct {
 	devs    []*device.Device
 	est     cost.Estimator
 	opts    Options
-	pool    *workPool
+	workers int
 	plan    []roundPlan
-	specOn  bool
 	res     *SplitResult
 }
 
@@ -245,7 +233,7 @@ func (o *osdposRun) retarget(b *roundBase, planIdx int) {
 	}
 	if cur, ok := b.g.OpByName(o.plan[planIdx].opName); ok {
 		b.curID = cur.ID
-		if !o.opts.DisableIncremental {
+		if !o.opts.disableIncremental {
 			b.anc = ancestorsOf(b.ctx, b.curID)
 		}
 	}
@@ -253,7 +241,7 @@ func (o *osdposRun) retarget(b *roundBase, planIdx int) {
 
 // makeBase materializes graph g into the evaluation base for round planIdx
 // with incumbent ftOld. The returned base's ranks come from the pool; the
-// committer (or cancelChain) releases them.
+// next commit (or the end of the search) releases them.
 func (o *osdposRun) makeBase(g *graph.Graph, planIdx int, ftOld time.Duration) (*roundBase, error) {
 	ctx, err := contextFor(g)
 	if err != nil {
@@ -267,12 +255,11 @@ func (o *osdposRun) makeBase(g *graph.Graph, planIdx int, ftOld time.Duration) (
 
 // evalCand runs one candidate against base b under the static bound and
 // (optionally) a live shared incumbent. All base state is read-only during
-// a fan-out, so any number of evalCand calls — across workers AND across
-// concurrently speculating rounds — may run at once.
+// a fan-out, so any number of evalCand calls may run at once.
 func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, live *atomic.Int64) candOutcome {
 	var s *Schedule
 	var err error
-	if o.opts.DisableIncremental {
+	if o.opts.disableIncremental {
 		var candidate *graph.Graph
 		candidate, err = graph.SplitOperation(b.g, b.curID, c.dim, c.n)
 		if err != nil {
@@ -287,7 +274,7 @@ func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, liv
 		}
 		octx := overlayContext(b.ctx, ov)
 		var clat *costLattice
-		if o.opts.DisableLattice {
+		if o.opts.disableLattice {
 			clat = buildLattice(octx, o.devs, o.est, false)
 		} else {
 			clat = extendLattice(b.lat, octx, o.devs, o.est)
@@ -295,7 +282,7 @@ func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, liv
 		ranks := deltaRanksOverlay(b.ctx, b.ranks, octx, b.anc, clat)
 		s, err = dposCtx(octx, o.cluster, clat, o.opts, ranks, bound, live)
 		releaseRanks(ranks)
-		if !o.opts.DisableLattice {
+		if !o.opts.disableLattice {
 			releaseLattice(clat)
 		}
 		releaseOverlayContext(octx)
@@ -314,7 +301,7 @@ func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, liv
 }
 
 // reduceRound is the deterministic commit point shared by the sequential
-// reference and every concurrent mode: reduce position-indexed results in
+// reference and every worker count: reduce position-indexed results in
 // enumeration order with a strictly-less comparison, resolve live-bound
 // ties back to the sequential first-minimum winner, and decide the round's
 // fate. Returns the winning index (-1 when no candidate completed) and
@@ -414,13 +401,14 @@ func (o *osdposRun) reduceRound(b *roundBase, cands []splitCand, results []candO
 // bounded run is exact, and overlay and clone candidate schedules are
 // byte-identical to a fresh pass over the materialized clone, so
 // rescheduling would recompute the same bytes), records the split, and
-// returns the base for round planIdx+1.
+// returns the base for round planIdx+1, releasing the previous base's
+// pooled ranks.
 func (o *osdposRun) commitWinner(b *roundBase, cands []splitCand, results []candOutcome,
 	bestIdx, planIdx int) (*roundBase, error) {
 	wsched := results[bestIdx].sched
 	results[bestIdx].sched = nil
 	releaseOutcomes(results)
-	if !o.opts.DisableIncremental {
+	if !o.opts.disableIncremental {
 		// Overlay schedules live in the overlay's ID space; the clone
 		// reference path already produces the compact layout.
 		wsched = compactWinner(wsched, b.curID)
@@ -435,46 +423,45 @@ func (o *osdposRun) commitWinner(b *roundBase, cands []splitCand, results []cand
 		releaseSchedule(wsched)
 		return nil, fmt.Errorf("materialize split: %w", err)
 	}
-	o.adopt(b, nb, wsched, cands[bestIdx], planIdx)
-	return nb, nil
-}
-
-// adopt installs a committed winner: the new graph and schedule become the
-// result, the split is recorded, and the previous base's pooled ranks are
-// released.
-func (o *osdposRun) adopt(old, nb *roundBase, wsched *Schedule, c splitCand, planIdx int) {
 	releaseSchedule(o.res.Schedule)
 	o.res.Graph = nb.g
 	o.res.Schedule = wsched
 	o.res.Splits = append(o.res.Splits, graph.SplitDecision{
-		OpName: o.plan[planIdx].opName, Dim: c.dim, N: c.n,
+		OpName: o.plan[planIdx].opName, Dim: cands[bestIdx].dim, N: cands[bestIdx].n,
 	})
-	releaseRanks(old.ranks)
+	releaseRanks(b.ranks)
+	return nb, nil
 }
 
-// runSequential is the literal sequential reference (Workers <= 1): rounds
-// run one after another on the calling goroutine, candidates in
-// enumeration order under the static incumbent bound only. Every
-// concurrent mode must reproduce its committed strategy byte for byte.
-func (o *osdposRun) runSequential(base *roundBase) (*roundBase, error) {
+// run is the search loop: each planned round fans its candidates out,
+// waits at the barrier, and commits through the deterministic reduce. At
+// Workers <= 1 the candidates run on the caller in enumeration order under
+// the static incumbent bound only — the sequential reference every worker
+// count must reproduce byte for byte. With more workers (and pruning on) a
+// live shared bound, seeded with the incumbent, lets every completed
+// candidate abort its in-flight round-mates.
+func (o *osdposRun) run(base *roundBase) (*roundBase, error) {
 	for k := 0; k < len(o.plan); k++ {
 		cands := o.plan[k].cands
 		bound := base.ftOld
+		var live *atomic.Int64
 		if o.opts.DisablePruning {
 			bound = 0
+		} else if o.workers > 1 {
+			live = new(atomic.Int64)
+			live.Store(int64(base.ftOld))
 		}
 		results := make([]candOutcome, len(cands))
-		for i := range cands {
-			if o.ctxErr() != nil {
-				break
+		fanOut(o.workers, len(cands), func(i int) {
+			if o.ctxErr() == nil {
+				results[i] = o.evalCand(base, cands[i], bound, live)
 			}
-			results[i] = o.evalCand(base, cands[i], bound, nil)
-		}
+		})
 		if err := o.ctxErr(); err != nil {
 			releaseOutcomes(results)
 			return base, err
 		}
-		bestIdx, stop := o.reduceRound(base, cands, results, false)
+		bestIdx, stop := o.reduceRound(base, cands, results, live != nil)
 		if stop {
 			break
 		}
@@ -499,12 +486,9 @@ func (o *osdposRun) runSequential(base *roundBase) (*roundBase, error) {
 // does not improve it.
 //
 // The walk's rounds are planned statically up front (buildPlan) as a flat
-// (critical-path op × dimension × split count) candidate grid. With
-// Workers > 1 the grid drains through a work-stealing pool of per-worker
-// deques, and rounds pipeline speculatively (see spec.go): as soon as some
-// round-k candidate completes below the incumbent, round k+1's candidates
-// are enqueued against that predicted winner, so workers never idle on a
-// small round's barrier. Each candidate is evaluated incrementally: a
+// (critical-path op × dimension × split count) candidate grid. Each round's
+// candidates fan out across Workers goroutines and meet at a barrier before
+// the round commits. Each candidate is evaluated incrementally: a
 // copy-on-write graph.SplitOverlay records the rewrite as a delta,
 // overlayContext patches the cached edge indexes in O(Δ), extendLattice
 // patches the dense cost lattice in O(Δ), deltaRanksOverlay reuses the
@@ -517,12 +501,9 @@ func (o *osdposRun) runSequential(base *roundBase) (*roundBase, error) {
 //
 // Rounds commit strictly in plan order through the deterministic reduce
 // (reduceRound): position-indexed results in enumeration order, a
-// strictly-less comparison, live-bound ties resolved back to the
-// first-minimum winner, and a speculative round's results are only ever
-// adopted when its predicted base equals the committed winner — otherwise
-// they are discarded and re-evaluated. Any worker count, with speculation
-// on or off, overlays or clones, pruning on or off, lattice or direct
-// estimator, returns byte-identical strategies.
+// strictly-less comparison, and live-bound ties resolved back to the
+// first-minimum winner. Any worker count, overlays or clones, pruning on or
+// off, lattice or direct estimator, returns byte-identical strategies.
 func OSDPOS(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*SplitResult, error) {
 	return OSDPOSCtx(context.Background(), g, cluster, est, opts)
 }
@@ -589,31 +570,21 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 	})
 	releaseRanks(placedRanks)
 
-	pool := newWorkPool(opts.workers())
-	defer pool.close()
 	o := &osdposRun{
 		ctx:     ctx,
 		cluster: cluster,
 		devs:    cluster.Devices(),
 		est:     est,
 		opts:    opts,
-		pool:    pool,
+		workers: opts.workers(),
 		plan:    buildPlan(g, cp, cluster.NumDevices(), opts.MaxSplitOps),
-		specOn:  pool != nil && !opts.DisableSpeculation,
 		res:     res,
 	}
 	base := &roundBase{g: g, ctx: baseCtx, lat: baseLat, ranks: baseRanks, ftOld: ftOld}
 	o.retarget(base, 0)
 
-	var final *roundBase
-	if pool == nil {
-		final, err = o.runSequential(base)
-	} else {
-		final, err = o.runPooled(base)
-	}
-	if final != nil {
-		releaseRanks(final.ranks)
-	}
+	final, err := o.run(base)
+	releaseRanks(final.ranks)
 	if err != nil {
 		if seedSched != nil {
 			releaseSchedule(seedSched)

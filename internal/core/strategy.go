@@ -43,11 +43,9 @@ type Strategy struct {
 	// work/avoided-work pair behind Table 4's strategy-computation times.
 	Evaluated int
 	Pruned    int
-	// Speculated and Mispredicted count the candidate evaluations the
-	// pipelined search enqueued ahead of a round's commit point and the
-	// subset discarded when the predicted winner lost the deterministic
-	// reduce (see SplitResult). Both are 0 at Workers <= 1 or with
-	// DisableSpeculation.
+	// Deprecated: the search no longer speculates ahead of a round's
+	// commit point, so Speculated and Mispredicted are always 0. They
+	// remain only for callers that still read them.
 	Speculated   int
 	Mispredicted int
 	// Seeded, SeedBound and SeedWon report the warm start (Options.Seed):
@@ -122,15 +120,13 @@ func ComputeStrategyCtx(ctx context.Context, g *graph.Graph, cluster *device.Clu
 			Splits:        res.Splits,
 			Predicted:     res.Schedule.Makespan,
 		},
-		Graph:        res.Graph,
-		Priorities:   res.Schedule.Priorities,
-		Evaluated:    res.Evaluated,
-		Pruned:       res.Pruned,
-		Speculated:   res.Speculated,
-		Mispredicted: res.Mispredicted,
-		Seeded:       res.Seeded,
-		SeedBound:    res.SeedBound,
-		SeedWon:      res.SeedWon,
+		Graph:      res.Graph,
+		Priorities: res.Schedule.Priorities,
+		Evaluated:  res.Evaluated,
+		Pruned:     res.Pruned,
+		Seeded:     res.Seeded,
+		SeedBound:  res.SeedBound,
+		SeedWon:    res.SeedWon,
 	}
 	if tryRestrictions {
 		full, err = refineWithClassSubclusters(ctx, g, cluster, est, subOpts, full)

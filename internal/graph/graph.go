@@ -262,8 +262,9 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// Validate checks structural invariants: acyclicity and consistent
-// adjacency. It returns the first violation found.
+// Validate checks structural invariants: acyclicity, consistent adjacency,
+// and non-negative op costs and edge bytes. It returns the first violation
+// found.
 func (g *Graph) Validate() error {
 	for i, op := range g.ops {
 		if op.ID != i {
@@ -271,6 +272,9 @@ func (g *Graph) Validate() error {
 		}
 		if got, ok := g.byName[op.Name]; !ok || got != i {
 			return fmt.Errorf("name index inconsistent for %q", op.Name)
+		}
+		if op.FLOPs < 0 || op.ParamBytes < 0 || op.OutputBytes < 0 || op.WorkspaceBytes < 0 {
+			return fmt.Errorf("op %q has a negative FLOPs or byte count", op.Name)
 		}
 	}
 	for ei, e := range g.edges {

@@ -58,6 +58,22 @@ func TestReadJSONRejectsDanglingEdge(t *testing.T) {
 	}
 }
 
+func TestReadJSONRejectsNegativeAttributes(t *testing.T) {
+	for _, tc := range []struct{ name, op, edge string }{
+		{"flops", `"flops":-1000000000000`, `1`},
+		{"paramBytes", `"paramBytes":-8`, `1`},
+		{"outputBytes", `"outputBytes":-4`, `1`},
+		{"workspaceBytes", `"workspaceBytes":-1`, `1`},
+		{"edge bytes", `"flops":1`, `-1`},
+	} {
+		doc := `{"ops":[{"name":"x","kind":"Input"},{"name":"y","kind":"MatMul",` + tc.op + `}],` +
+			`"edges":[{"from":"x","to":"y","bytes":` + tc.edge + `}]}`
+		if _, err := ReadJSON(strings.NewReader(doc)); err == nil {
+			t.Errorf("negative %s accepted", tc.name)
+		}
+	}
+}
+
 func TestReadJSONRejectsUnknownFields(t *testing.T) {
 	doc := `{"ops":[{"name":"x","kind":"Relu","bogus":1}],"edges":[]}`
 	if _, err := ReadJSON(strings.NewReader(doc)); err == nil {
